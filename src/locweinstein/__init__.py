@@ -1,7 +1,7 @@
 """Exact cochain-complex calculus for prime-localized Weinstein subdomains.
 
 Submodules:
-  intlin     - Smith normal form, kernels, integer solving
+  intlin     - Smith normal form with inverses, kernels, integer solving
   zcomplex   - bounded free cochain complexes over Z
   decompose  - elementary splitting with certificates
   localize   - prime sets, localized/field homology, classification
@@ -22,8 +22,7 @@ from .decompose import (Decomposition, ElementarySummand,
 from .localize import (CategoryClass, PrimeSet, category_nontrivial_over,
                        classify_disks, field_homology, localized_homology,
                        quasi_iso)
-from .weinstein import (HandlePresentation, SubdomainSpec, connected_sum,
-                        disk_complex_from_moore, embeddable,
+from .weinstein import (HandlePresentation, SubdomainSpec, embeddable,
                         embedding_witness, lattice_chain, p_handle_disks,
                         replace_handles, subdomain_classify,
                         classify_presentation, induced_spec)

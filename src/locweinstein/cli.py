@@ -12,7 +12,6 @@ import sys
 from . import __version__
 from ._primes import PrimeSet
 from .decompose import elementary_decomposition
-from .localize import quasi_iso  # noqa: F401  (re-exported for scripting)
 from .loopsphere import (SphereRing, TwistedComplexA, WindowError,
                          hom_cohomology, x_action_test, zero_section)
 from .weinstein import (SubdomainSpec, embeddable, embedding_witness,

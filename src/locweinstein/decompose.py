@@ -8,7 +8,7 @@ so the complement injects into the next degree and its SNF produces the
 elementary blocks.
 """
 
-from .intlin import IntMatrix, inverse_unimodular, snf
+from .intlin import IntMatrix, snf
 from ._primes import PrimeSet, prime_divisors
 from .zcomplex import FreeComplex, direct_sum, elementary_complex, require_valid
 
@@ -65,15 +65,18 @@ class Decomposition:
 
     `certificate[k]` maps old coordinates of C^k to new ones; conjugating
     each differential, d' = T_{k+1} * d^k * T_k^{-1}, yields the elementary
-    block form recorded in `layout`.  `layout` holds (degree, source_col,
-    target_row, m) for each two-term block in the new bases.
+    block form recorded in `layout`.  `inverse[k]` is T_k^{-1}, kept so
+    that checking the certificate needs no elimination; it is not part of
+    the JSON form.  `layout` holds (degree, source_col, target_row, m) for
+    each two-term block in the new bases.
     """
 
-    __slots__ = ("summands", "certificate", "layout")
+    __slots__ = ("summands", "certificate", "inverse", "layout")
 
-    def __init__(self, summands, certificate, layout):
+    def __init__(self, summands, certificate, inverse, layout):
         self.summands = list(summands)
         self.certificate = dict(certificate)
+        self.inverse = dict(inverse)
         self.layout = list(layout)
 
     def transform(self, k):
@@ -102,11 +105,13 @@ def elementary_decomposition(C):
     Degrees are processed in increasing order.  Basis vectors already hit
     by a nonzero block from below lie in the kernel of the next
     differential (m * d(e) = 0 forces d(e) = 0 over Z), so each step only
-    rearranges the remaining columns.
+    rearranges the remaining columns.  Each SNF, U * sub * V = S, updates
+    T_k by V^{-1} and T_{k+1} by U, and their inverses by V and U^{-1}.
     """
     require_valid(C)
     support = C.support()
     transforms = {k: IntMatrix.identity(C.rank(k)) for k in support}
+    inverses = dict(transforms)
     layout = []
     summands = []
 
@@ -114,16 +119,17 @@ def elementary_decomposition(C):
         rk = C.rank(k)
         rk1 = C.rank(k + 1)
         t_next = transforms.get(k + 1, IntMatrix.identity(rk1))
-        d_cur = t_next * C.d(k) * inverse_unimodular(transforms[k])
+        d_cur = t_next * C.d(k) * inverses[k]
         free_cols = [j for j in range(rk) if j not in _incoming(layout, k)]
         # Columns of already-paired targets are exactly zero; keep them fixed.
         sub = IntMatrix(rk1, len(free_cols),
                         [d_cur.at(i, j) for i in range(rk1) for j in free_cols])
         res = snf(sub)
-        v_inv = inverse_unimodular(res.V)
-        transforms[k] = _embed(v_inv, free_cols, rk) * transforms[k]
+        transforms[k] = _embed(res.V_inv, free_cols, rk) * transforms[k]
+        inverses[k] = inverses[k] * _embed(res.V, free_cols, rk)
         if k + 1 in transforms:
             transforms[k + 1] = res.U * transforms[k + 1]
+            inverses[k + 1] = inverses[k + 1] * res.U_inv
         diag = res.diagonal()
         for idx, col in enumerate(free_cols):
             m = diag[idx] if idx < len(diag) else 0
@@ -135,7 +141,7 @@ def elementary_decomposition(C):
                 summands.append(ElementarySummand(kind, -(k + 1), m))
             else:
                 summands.append(ElementarySummand("free", -k))
-    return Decomposition(summands, transforms, layout)
+    return Decomposition(summands, transforms, inverses, layout)
 
 
 def _incoming(layout, k):
@@ -153,17 +159,33 @@ def _embed(block, cols, n):
     return IntMatrix.from_rows(out, cols=n)
 
 
+def _is_square(t, n):
+    return isinstance(t, IntMatrix) and t.rows == t.cols == n
+
+
 def verify_certificate(C, decomposition):
-    """Check that conjugating C's differentials yields the recorded block
-    form exactly."""
-    for k in C.support():
-        t_k = decomposition.transform(k)
-        t_next = decomposition.transform(k + 1)
-        if t_next is None:
-            t_next = IntMatrix.identity(C.rank(k + 1))
-        conj = t_next * C.d(k) * inverse_unimodular(t_k)
-        if conj != decomposition.block_form(k, C.rank(k + 1), C.rank(k)):
+    """Check the certificate without any elimination.
+
+    T_k * T_k^{-1} = I proves each T_k unimodular; conjugating C's
+    differentials must then yield the recorded block form exactly.  A
+    missing, misshapen or inconsistent certificate gives False.
+    """
+    for deg, col, row, _m in decomposition.layout:
+        if not (0 <= col < C.rank(deg) and 0 <= row < C.rank(deg + 1)):
             return False
+    checked = {}
+    # Descending, so T_{k+1} is checked before it conjugates d^k.
+    for k in reversed(C.support()):
+        n = C.rank(k)
+        t, t_inv = decomposition.transform(k), decomposition.inverse.get(k)
+        if not (_is_square(t, n) and _is_square(t_inv, n)) \
+                or t * t_inv != IntMatrix.identity(n):
+            return False
+        t_next = checked.get(k + 1, IntMatrix.identity(C.rank(k + 1)))
+        if t_next * C.d(k) * t_inv != decomposition.block_form(
+                k, C.rank(k + 1), n):
+            return False
+        checked[k] = t
     return True
 
 

@@ -1,11 +1,11 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular change-of-basis certificates, saturated
-kernel bases, and integer linear solving.  Everything runs on Python ints,
-so intermediate entry growth is harmless.
+Smith normal form with unimodular change-of-basis certificates and their
+inverses, saturated kernel bases, and integer linear solving, all read off
+one elimination.  Everything runs on Python ints, so entries never
+overflow, but they do grow: the certificates of a dense 60x60 matrix reach
+about 28k bits, and products with them cost accordingly.
 """
-
-from fractions import Fraction
 
 
 class DimensionError(ValueError):
@@ -109,14 +109,36 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Certified Smith normal form: U * M * V = S with U, V unimodular."""
+    """Certified Smith normal form: U * M * V = S with U, V unimodular.
 
-    __slots__ = ("S", "U", "V")
+    `U_inv` and `V_inv` are built on first use by undoing, in order, the
+    elementary operations `snf` logged while reducing M.
+    """
 
-    def __init__(self, S, U, V):
+    __slots__ = ("S", "U", "V", "_log", "_U_inv", "_V_inv")
+
+    def __init__(self, S, U, V, log):
         self.S = S
         self.U = U
         self.V = V
+        self._log = log
+        self._U_inv = None
+        self._V_inv = None
+
+    @property
+    def U_inv(self):
+        if self._U_inv is None:
+            # The undone row operations act on rows of the transpose.
+            self._U_inv = _undo(self._log, (_SWAP_ROWS, _ADD_ROW, _NEGATE_ROW),
+                                self.U.rows).transpose()
+        return self._U_inv
+
+    @property
+    def V_inv(self):
+        if self._V_inv is None:
+            self._V_inv = _undo(self._log, (_SWAP_COLS, _ADD_COL, None),
+                                self.V.rows)
+        return self._V_inv
 
     def diagonal(self):
         n = min(self.S.rows, self.S.cols)
@@ -127,6 +149,50 @@ class SnfResult:
 
     def rank(self):
         return len(self.invariant_factors())
+
+    def kernel(self):
+        """Saturated basis of ker M: the last cols - rank columns of V."""
+        r, n = self.rank(), self.V.rows
+        return IntMatrix(n, n - r, [e for row in self.V.to_rows() for e in row[r:]])
+
+    def solve(self, b):
+        """An integer solution x of M x = b, or None when none exists."""
+        if len(b) != self.S.rows:
+            raise DimensionError("right-hand side length does not match row count")
+        c = self.U.apply(list(b))
+        diag = self.diagonal()
+        diag += [0] * (len(c) - len(diag))
+        if any(ci % d if d else ci for ci, d in zip(c, diag)):
+            return None
+        y = [ci // d for ci, d in zip(c, diag) if d]
+        return self.V.apply(y + [0] * (self.S.cols - len(y)))
+
+
+# `snf` logs each elementary operation as four ints: code, a, b, q.
+# Swaps exchange lines a and b, additions add q times line a to line b,
+# negations negate line a.
+_SWAP_ROWS, _ADD_ROW, _NEGATE_ROW, _SWAP_COLS, _ADD_COL = range(5)
+
+
+def _undo(log, codes, n):
+    """The n x n inverse of one side's logged operations, row-wise.
+
+    Each operation is undone by a row operation on the identity, applied
+    in log order: line a loses q times line b, swaps and negations are
+    their own inverses.  For columns this builds V^-1 = F_k^-1 ... F_1^-1;
+    for rows it builds (U^-1)^T, since U^-1 = E_1^-1 ... E_k^-1.
+    """
+    swap, add, negate = codes
+    rows = IntMatrix.identity(n).to_rows()
+    for i in range(0, len(log), 4):
+        code, a, b, q = log[i:i + 4]
+        if code == swap:
+            rows[a], rows[b] = rows[b], rows[a]
+        elif code == add:
+            rows[a] = [x - q * y for x, y in zip(rows[a], rows[b])]
+        elif code == negate:
+            rows[a] = [-x for x in rows[a]]
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 def _pivot(rows, r0, c0, nrows, ncols):
@@ -155,16 +221,19 @@ def snf(M):
     S = M.to_rows()
     U = IntMatrix.identity(m).to_rows()
     V = IntMatrix.identity(n).to_rows()
+    log = []
 
     def swap_rows(i1, i2):
         S[i1], S[i2] = S[i2], S[i1]
         U[i1], U[i2] = U[i2], U[i1]
+        log.extend((_SWAP_ROWS, i1, i2, 0))
 
     def swap_cols(j1, j2):
         for row in S:
             row[j1], row[j2] = row[j2], row[j1]
         for row in V:
             row[j1], row[j2] = row[j2], row[j1]
+        log.extend((_SWAP_COLS, j1, j2, 0))
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
@@ -174,12 +243,14 @@ def snf(M):
         Us, Ud = U[src], U[dst]
         for j in range(m):
             Ud[j] += q * Us[j]
+        log.extend((_ADD_ROW, src, dst, q))
 
     def add_col(src, dst, q):
         for row in S:
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
+        log.extend((_ADD_COL, src, dst, q))
 
     def near_q(a, b):
         # Nearest-integer quotient keeps remainders at most |b| / 2.
@@ -231,11 +302,12 @@ def snf(M):
                 S[t][j] = -S[t][j]
             for j in range(m):
                 U[t][j] = -U[t][j]
+            log.extend((_NEGATE_ROW, t, t, 0))
         t += 1
 
     return SnfResult(IntMatrix.from_rows(S, cols=n),
                      IntMatrix.from_rows(U, cols=m),
-                     IntMatrix.from_rows(V, cols=n))
+                     IntMatrix.from_rows(V, cols=n), log)
 
 
 def kernel_basis(M):
@@ -244,89 +316,21 @@ def kernel_basis(M):
     The span is a direct summand of Z^cols, so coefficients of kernel
     elements in this basis are integral.
     """
-    res = snf(M)
-    r = res.rank()
-    cols = [res.V.column(j) for j in range(r, M.cols)]
-    if not cols:
-        return IntMatrix(M.cols, 0, [])
-    return IntMatrix(M.cols, len(cols),
-                     [c[i] for i in range(M.cols) for c in cols])
+    return snf(M).kernel()
 
 
 def solve(M, b):
     """An integer solution x of M x = b, or None when none exists."""
-    if len(b) != M.rows:
-        raise DimensionError("right-hand side length does not match row count")
-    res = snf(M)
-    c = res.U.apply(list(b))
-    diag = res.diagonal()
-    y = [0] * M.cols
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return res.V.apply(y)
-
-
-def det(M):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = M.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(M):
-    return M.rows == M.cols and abs(det(M)) == 1
+    return snf(M).solve(b)
 
 
 def inverse_unimodular(M):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: U M V = I, so M^-1 = V U."""
     if M.rows != M.cols:
         raise DimensionError("inverse of a non-square matrix")
-    n = M.rows
-    a = [[Fraction(M.at(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [v * inv for v in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            v = a[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(int(v))
-    return IntMatrix(n, n, out)
+    res = snf(M)
+    if res.rank() < M.rows:
+        raise ValueError("matrix is singular")
+    if res.S != IntMatrix.identity(M.rows):
+        raise ValueError("matrix is not unimodular")
+    return res.V * res.U

@@ -8,7 +8,6 @@ formal, so this is a complete test.
 """
 
 from ._primes import PrimeSet, PrimalityRangeError, is_prime, prime_divisors
-from .decompose import elementary_decomposition, prime_content
 from .zcomplex import HomologyProfile, homology, require_valid
 
 __all__ = [
@@ -132,18 +131,23 @@ def quasi_iso(C, D, P=None):
 def classify_disks(disks):
     """Classify the localization determined by a collection of disk complexes.
 
-    Trivial as soon as some disk's decomposition contains a free summand
-    (that disk split-generates); otherwise localized at the union of primes
-    dividing the torsion blocks, which is Full when that union is empty.
-    The answer depends only on the split-closure of the collection: it is
-    invariant under quasi-isomorphism, shifts and direct sums.
+    Read off each disk's homology, which carries the same information as
+    its elementary splitting: Trivial as soon as some disk has free
+    homology (a free summand, so that disk split-generates); otherwise
+    localized at the union of primes dividing the torsion, which is Full
+    when that union is empty.  The answer depends only on the
+    split-closure of the collection: it is invariant under
+    quasi-isomorphism, shifts and direct sums.
     """
-    merged = PrimeSet()
+    primes = set()
     for disk in disks:
-        merged = merged.union(prime_content(elementary_decomposition(disk)))
-        if merged.contains_zero:
+        prof = homology(disk)
+        if any(prof.free_rank(k) for k in prof.support()):
             return CategoryClass("trivial")
-    return CategoryClass.from_prime_set(merged)
+        for k in prof.support():
+            # Each invariant factor divides the last one.
+            primes.update(prime_divisors(prof.torsion(k)[-1]))
+    return CategoryClass.from_prime_set(PrimeSet(primes))
 
 
 def category_nontrivial_over(cls, q):

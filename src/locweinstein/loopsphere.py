@@ -8,7 +8,9 @@ hom degree between two such objects is a finite free Z-module, so window
 cohomology and the geometricity obstruction are exact computations.
 """
 
-from .intlin import IntMatrix, kernel_basis, snf, solve
+from functools import cache
+
+from .intlin import IntMatrix, snf
 from .zcomplex import FreeComplex, homology, require_valid
 
 
@@ -274,23 +276,15 @@ def _end_generator(ring):
     zs = zero_section(ring)
     n = ring.n
     cx, bases = _hom_complex(zs, zs, n - 1, n + 1)
-    K = kernel_basis(cx.d(n))
-    prev = cx.d(n - 1)
-    coeff_cols = [solve(K, prev.column(j)) for j in range(prev.cols)]
-    if any(c is None for c in coeff_cols):
-        raise InvalidTwisted("hom complex is not a complex")  # unreachable
-    z = K.cols
-    B = (IntMatrix(z, len(coeff_cols),
-                   [c[i] for i in range(z) for c in coeff_cols])
-         if coeff_cols else IntMatrix(z, 0, []))
-    res = snf(B)
-    free_idx = [i for i in range(z)
-                if i >= min(z, B.cols) or res.S.at(i, i) == 0]
-    if len(free_idx) != 1:
+    cycles = snf(cx.d(n))
+    # Rows r.. of V^-1 give a cycle's coordinates in the kernel basis.
+    coords = IntMatrix.from_rows(cycles.V_inv.to_rows()[cycles.rank():],
+                                 cols=cx.rank(n))
+    res = snf(coords * cx.d(n - 1))
+    z = coords.rows
+    if z - res.rank() != 1:
         raise InvalidTwisted("H^n(End(zero_section)) is not free of rank 1")
-    from .intlin import inverse_unimodular
-    uinv = inverse_unimodular(res.U)
-    gen = K.apply(uinv.column(free_idx[0]))
+    gen = cycles.kernel().apply(res.U_inv.column(z - 1))
     # Fix the sign via the u^0 component A[n] -> A[0].
     marker = bases[n].index((0, 1, 0))
     if gen[marker] == 0:
@@ -322,6 +316,9 @@ def x_action_test(T, window):
         if coeff:
             x_comps[(j, i)] = (coeff, p)  # keyed by (target, source)
     cx, bases = _hom_complex(zs, T, lo - 1, hi + 1)
+    # Each differential is factored once, for its kernel and as a target.
+    factored = cache(lambda j: snf(cx.d(j)))
+
     for k in range(lo, hi - n + 1):
         if not bases.get(k):
             continue
@@ -336,10 +333,10 @@ def x_action_test(T, window):
                 if tgt == i:
                     act[pos[(src, j, p + power)] * cols + c] += coeff
         X = IntMatrix(rows, cols, act)
-        Z = kernel_basis(cx.d(k))
-        target_d = cx.d(k + n - 1)
+        Z = factored(k).kernel()
+        target = factored(k + n - 1)
         for col in range(Z.cols):
             w = X.apply(Z.column(col))
-            if any(w) and solve(target_d, w) is None:
+            if any(w) and target.solve(w) is None:
                 return False
     return True

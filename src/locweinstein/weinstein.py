@@ -63,18 +63,6 @@ class HandlePresentation:
                    [PrimeSet(h) for h in data.get("critical_handles", [])])
 
 
-def disk_complex_from_moore(m, d):
-    """Complex of the shifted Moore-space disk with torsion parameter m.
-
-    For m >= 1 this is the two-term complex Z[d+1] --m--> Z[d]; m = 1 is
-    the zero object and m = 0 is the fiber representative with vanishing
-    differential (two free classes).
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return elementary_complex(m, d)
-
-
 def p_handle_disks(P):
     """Disks carved by decorating one critical handle with P.
 
@@ -139,11 +127,6 @@ def _next_prime(q):
     while not is_prime(q):
         q += 1
     return q
-
-
-def connected_sum(P, Q):
-    """Union of prime sets, with 0 absorbing."""
-    return P.union(Q)
 
 
 def lattice_chain(primes):

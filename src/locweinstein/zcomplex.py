@@ -5,7 +5,7 @@ in cohomological degree -d, and differentials raise degree by 1.  Shifting
 by k sends degree j to degree j - k and multiplies differentials by (-1)^k.
 """
 
-from .intlin import IntMatrix, kernel_basis, snf, solve
+from .intlin import IntMatrix, snf
 
 
 class InvalidComplex(ValueError):
@@ -173,7 +173,9 @@ def require_valid(C):
 def elementary_complex(m, d):
     """The two-term complex Z[d+1] --m--> Z[d].
 
-    Z in degrees -(d+1) and -d with differential (m).
+    Z in degrees -(d+1) and -d with differential (m).  It is also the
+    complex of the shifted Moore-space disk with torsion parameter m:
+    m = 1 gives the zero object, m = 0 the fiber representative.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -183,33 +185,20 @@ def elementary_complex(m, d):
 
 
 def homology(C):
-    """Integral cohomology of C as a HomologyProfile, via SNF.
+    """Integral cohomology of C as a HomologyProfile, one SNF per differential.
 
-    H^k = ker d^k / im d^{k-1}: coordinates of the image inside a saturated
-    kernel basis are integral, and their SNF gives the invariant factors.
+    H^k has free rank rank C^k - rank d^k - rank d^{k-1}, and its torsion
+    is the invariant factors >= 2 of d^{k-1}: im d^{k-1} lies in the
+    saturated ker d^k, so the torsion of coker d^{k-1} lies there too.
     """
     require_valid(C)
+    factors = {k: snf(mat).invariant_factors()
+               for k, mat in C.differentials.items()}
     data = {}
     for k in C.support():
-        K = kernel_basis(C.d(k))
-        z = K.cols
-        if z == 0:
-            continue
-        prev = C.d(k - 1)
-        coeff_cols = []
-        for j in range(prev.cols):
-            y = solve(K, prev.column(j))
-            if y is None:
-                raise InvalidComplex("image does not lie in the kernel")
-            coeff_cols.append(y)
-        if coeff_cols:
-            B = IntMatrix(z, len(coeff_cols),
-                          [c[i] for i in range(z) for c in coeff_cols])
-        else:
-            B = IntMatrix(z, 0, [])
-        factors = snf(B).invariant_factors()
-        free = z - len(factors)
-        torsion = tuple(f for f in factors if f >= 2)
+        incoming = factors.get(k - 1, [])
+        free = C.rank(k) - len(factors.get(k, [])) - len(incoming)
+        torsion = tuple(f for f in incoming if f >= 2)
         if free or torsion:
             data[k] = (free, torsion)
     return HomologyProfile(data)

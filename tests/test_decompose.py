@@ -38,7 +38,7 @@ def test_single_free_generator():
 
 
 def test_reassemble_empty():
-    assert reassemble(Decomposition([], {}, [])) == FreeComplex({})
+    assert reassemble(Decomposition([], {}, {}, [])) == FreeComplex({})
 
 
 def test_reassemble_two_torsion():
@@ -123,3 +123,57 @@ def test_invalid_complex_rejected():
                      1: IntMatrix.from_rows([[1]])})
     with pytest.raises(InvalidComplex):
         elementary_decomposition(C)
+
+
+def tampered(dec, certificate=None, inverse=None, layout=None):
+    return Decomposition(dec.summands,
+                         dec.certificate if certificate is None else certificate,
+                         dec.inverse if inverse is None else inverse,
+                         dec.layout if layout is None else layout)
+
+
+def test_verify_rejects_non_unimodular_transform():
+    C = elementary_complex(6, 0)
+    dec = elementary_decomposition(C)
+    bad = tampered(dec, certificate={**dec.certificate,
+                                     -1: IntMatrix.from_rows([[2]])})
+    assert verify_certificate(C, bad) is False
+
+
+def test_verify_rejects_missing_degree():
+    C = elementary_complex(6, 0)
+    dec = elementary_decomposition(C)
+    certificate = dict(dec.certificate)
+    del certificate[-1]
+    assert verify_certificate(C, tampered(dec, certificate=certificate)) is False
+
+
+def test_verify_rejects_wrong_layout_entry():
+    C = FreeComplex({0: 2, 1: 2}, {0: IntMatrix.from_rows([[2, 0], [0, 3]])})
+    dec = elementary_decomposition(C)
+    deg, col, row, m = dec.layout[-1]
+    for entry in [(deg, col, row, m + 1), (deg, col, row + 5, m),
+                  (deg + 7, col, row, m)]:
+        bad = tampered(dec, layout=dec.layout[:-1] + [entry])
+        assert verify_certificate(C, bad) is False
+
+
+def test_verify_rejects_missing_or_wrong_inverse(rng):
+    C = conjugated_sum(rng, [ElementarySummand("torsion", 0, 4),
+                             ElementarySummand("free", 1)])
+    dec = elementary_decomposition(C)
+    k = C.support()[0]
+    inverse = dict(dec.inverse)
+    del inverse[k]
+    assert verify_certificate(C, tampered(dec, inverse=inverse)) is False
+    n = C.rank(k)
+    wrong = {**dec.inverse, k: dec.inverse[k] * IntMatrix.identity(n).scaled(-1)}
+    assert verify_certificate(C, tampered(dec, inverse=wrong)) is False
+
+
+def test_inverse_is_not_serialized(rng):
+    C = conjugated_sum(rng, [ElementarySummand("torsion", 0, 4)])
+    dec = elementary_decomposition(C)
+    for k, t in dec.certificate.items():
+        assert t * dec.inverse[k] == IntMatrix.identity(C.rank(k))
+    assert set(dec.to_json_dict()) == {"summands", "certificate", "layout"}

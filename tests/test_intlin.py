@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
-from locweinstein.intlin import (DimensionError, IntMatrix, det,
-                                 inverse_unimodular, is_unimodular,
-                                 kernel_basis, snf, solve)
+from locweinstein.intlin import (DimensionError, IntMatrix,
+                                 inverse_unimodular, kernel_basis, snf,
+                                 solve)
 from conftest import random_matrix
 
 
 def check_snf(M):
     res = snf(M)
     assert res.U * M * res.V == res.S
-    assert is_unimodular(res.U)
-    assert is_unimodular(res.V)
+    # An integer two-sided inverse proves U and V unimodular.
+    assert res.U * res.U_inv == IntMatrix.identity(M.rows)
+    assert res.V * res.V_inv == IntMatrix.identity(M.cols)
     diag = res.diagonal()
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d]
@@ -60,6 +63,40 @@ def test_snf_random():
         check_snf(M)
 
 
+def test_snf_matches_sympy_invariant_factors():
+    rng = random.Random(5)
+    for _ in range(200):
+        M = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8), 50)
+        want = [abs(int(f)) for f in
+                invariant_factors(Matrix(M.to_rows()), domain=ZZ) if f]
+        assert check_snf(M).invariant_factors() == want
+
+
+def test_snf_result_solve_many_right_hand_sides():
+    rng = random.Random(6)
+    for _ in range(50):
+        M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), 10)
+        res = snf(M)
+        for _ in range(4):
+            b = M.apply([rng.randint(-5, 5) for _ in range(M.cols)])
+            x = res.solve(b)
+            assert x == solve(M, b)
+            assert M.apply(x) == b
+        b = [rng.randint(-5, 5) for _ in range(M.rows)]
+        assert res.solve(b) == solve(M, b)
+    with pytest.raises(DimensionError):
+        snf(IntMatrix.from_rows([[2, 3]])).solve([1, 2])
+
+
+def test_inverse_unimodular_rejects():
+    with pytest.raises(ValueError, match="singular"):
+        inverse_unimodular(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(IntMatrix.from_rows([[2]]))
+    with pytest.raises(DimensionError):
+        inverse_unimodular(IntMatrix.zeros(1, 2))
+
+
 def test_kernel_injective():
     assert kernel_basis(IntMatrix.from_rows([[2]])).cols == 0
 
@@ -74,7 +111,7 @@ def test_kernel_difference():
 def test_kernel_zero_map():
     K = kernel_basis(IntMatrix.zeros(1, 2))
     assert K.cols == 2
-    assert abs(det(K)) == 1
+    assert K * inverse_unimodular(K) == IntMatrix.identity(2)
 
 
 def test_kernel_properties():

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from locweinstein.intlin import IntMatrix
 from locweinstein.localize import CategoryClass, PrimeSet, \
     category_nontrivial_over
 from locweinstein.weinstein import (HandlePresentation, SubdomainSpec,
-                                    classify_presentation, connected_sum,
-                                    disk_complex_from_moore, embeddable,
+                                    classify_presentation, embeddable,
                                     embedding_witness, induced_spec,
                                     lattice_chain, p_handle_disks,
                                     replace_handles, subdomain_classify)
@@ -14,15 +14,18 @@ from locweinstein.zcomplex import (FreeComplex, elementary_complex, homology)
 
 
 def test_moore_disk_matches_elementary():
-    assert disk_complex_from_moore(6, 0) == elementary_complex(6, 0)
+    # The Moore-space disk with torsion parameter m is Z[d+1] --m--> Z[d].
+    C = elementary_complex(6, 0)
+    assert C == FreeComplex({-1: 1, 0: 1}, {-1: IntMatrix.from_rows([[6]])})
+    assert homology(C).data == {0: (0, (6,))}
 
 
 def test_moore_disk_unit_is_acyclic():
-    assert homology(disk_complex_from_moore(1, 0)).is_trivial()
+    assert homology(elementary_complex(1, 0)).is_trivial()
 
 
 def test_moore_disk_fiber_representative():
-    C = disk_complex_from_moore(0, 0)
+    C = elementary_complex(0, 0)
     assert homology(C).data == {-1: (1, ()), 0: (1, ())}
 
 
@@ -105,18 +108,22 @@ def test_embedding_witness_obstruction_semantics():
 
 
 def test_connected_sum():
-    assert connected_sum(PrimeSet([2]), PrimeSet([3])) == PrimeSet([2, 3])
-    assert connected_sum(PrimeSet([5]), PrimeSet()) == PrimeSet([5])
-    assert connected_sum(PrimeSet([0]), PrimeSet([5])).contains_zero
+    # Decorating one handle with P and another with Q carves the
+    # union of the two prime sets, with 0 absorbing.
+    for P, Q, want in [(PrimeSet([2]), PrimeSet([3]), PrimeSet([2, 3])),
+                       (PrimeSet([5]), PrimeSet(), PrimeSet([5])),
+                       (PrimeSet([0]), PrimeSet([5]), PrimeSet([0, 5]))]:
+        assert P.union(Q) == want
+        assert classify_presentation(HandlePresentation("X", [P, Q])) == \
+            CategoryClass.from_prime_set(want)
 
 
 def test_connected_sum_monoid_laws():
     a, b, c = PrimeSet([2]), PrimeSet([3, 5]), PrimeSet([0])
-    assert connected_sum(a, b) == connected_sum(b, a)
-    assert connected_sum(connected_sum(a, b), c) == \
-        connected_sum(a, connected_sum(b, c))
-    assert connected_sum(a, PrimeSet()) == a
-    assert connected_sum(a, PrimeSet([0])).contains_zero
+    assert a.union(b) == b.union(a)
+    assert a.union(b).union(c) == a.union(b.union(c))
+    assert a.union(PrimeSet()) == a
+    assert a.union(PrimeSet([0])).contains_zero
 
 
 def test_lattice_chain():

@@ -57,9 +57,8 @@ def test_homology_empty():
 
 def test_homology_moore_placement():
     # torsion [m] lands in degree -d
-    from locweinstein.weinstein import disk_complex_from_moore
     for m, d in [(4, 2), (9, -1)]:
-        prof = homology(disk_complex_from_moore(m, d))
+        prof = homology(elementary_complex(m, d))
         assert prof.data == {-d: (0, (m,))}
 
 
