@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .intlin import IntMatrix, SnfResult, kernel_basis, snf, solve
 from .zcomplex import (ChainMap, FreeComplex, HomologyProfile, cone,
                        direct_sum, elementary_complex, euler_characteristic,
-                       homology, shift, validate)
+                       homology, shift)
 from .decompose import (Decomposition, ElementarySummand,
                         elementary_decomposition, prime_content, reassemble,
                         verify_certificate)
@@ -27,7 +27,7 @@ from .weinstein import (HandlePresentation, SubdomainSpec, embeddable,
                         replace_handles, subdomain_classify,
                         classify_presentation, induced_spec)
 from .loopsphere import (SphereRing, TwistedComplexA, WindowProfile, fiber,
-                         from_zcomplex, hom_cohomology, validate_twisted,
-                         x_action_test, zero_section)
+                         from_zcomplex, hom_cohomology, x_action_test,
+                         zero_section)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

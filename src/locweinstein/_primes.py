@@ -1,45 +1,15 @@
-"""Prime sets and deterministic primality, shared by localize and decompose."""
+"""Prime sets and primality, shared by localize and decompose."""
 
-from sympy import factorint
-
-# Witness set proving primality for all inputs below 2^64
-# (Sorenson-Webster / Jaeschke bounds).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 2 ** 64
-
-
-class PrimalityRangeError(ValueError):
-    """Input too large for the deterministic witness set."""
+from sympy import factorint, isprime
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 2^64."""
-    n = int(n)
-    if n >= _MR_LIMIT:
-        raise PrimalityRangeError("primality test limited to inputs below 2^64")
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
-        return True
-    if any(n % p == 0 for p in small):
-        return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """sympy's isprime: a proof below 2^64, BPSW above.
+
+    No BPSW pseudoprime is known; it is the same test `factorint` trusts
+    for the prime divisors it returns, so those are accepted unchanged.
+    """
+    return isprime(int(n))
 
 
 def prime_divisors(m):

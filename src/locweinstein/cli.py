@@ -16,7 +16,7 @@ from .loopsphere import (SphereRing, TwistedComplexA, WindowError,
                          hom_cohomology, x_action_test, zero_section)
 from .weinstein import (SubdomainSpec, embeddable, embedding_witness,
                         lattice_chain, subdomain_classify)
-from .zcomplex import FreeComplex, InvalidComplex, homology, require_valid
+from .zcomplex import FreeComplex, homology
 
 SCHEMA = "locweinstein/1"
 FORMAT_ENV = "LOCWEINSTEIN_FORMAT"
@@ -41,19 +41,21 @@ def _emit(payload, fmt, out):
 def _read_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError("bad-input", str(exc)) from exc
+    if not isinstance(data, dict):
+        raise DomainError("bad-input", "top-level JSON value must be an object")
+    return data
 
 
 def _load_complex(data):
     try:
-        cx = FreeComplex.from_json_dict(data)
-        require_valid(cx)
-        return cx
-    except (InvalidComplex, ValueError, KeyError, TypeError) as exc:
+        return FreeComplex.from_json_dict(data)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DomainError("invalid-complex", str(exc)) from exc
 
 
@@ -77,11 +79,11 @@ def _cmd_decompose(args, fmt, out):
 
 def _cmd_classify(args, fmt, out):
     data = _read_json(args.input)
-    try:
-        spec = SubdomainSpec(data.get("ambient", ""),
-                             [_load_complex(c) for c in data.get("carved", [])])
-    except (ValueError, TypeError) as exc:
-        raise DomainError("invalid-complex", str(exc)) from exc
+    carved = data.get("carved", [])
+    if not isinstance(carved, list):
+        raise DomainError("invalid-complex", "carved must be a list of complexes")
+    spec = SubdomainSpec(data.get("ambient", ""),
+                         [_load_complex(c) for c in carved])
     _emit(subdomain_classify(spec).to_json_dict(), fmt, out)
 
 

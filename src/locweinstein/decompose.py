@@ -10,7 +10,7 @@ elementary blocks.
 
 from .intlin import IntMatrix, snf
 from ._primes import PrimeSet, prime_divisors
-from .zcomplex import FreeComplex, direct_sum, elementary_complex, require_valid
+from .zcomplex import FreeComplex, direct_sum, elementary_complex
 
 
 class ElementarySummand:
@@ -108,7 +108,6 @@ def elementary_decomposition(C):
     rearranges the remaining columns.  Each SNF, U * sub * V = S, updates
     T_k by V^{-1} and T_{k+1} by U, and their inverses by V and U^{-1}.
     """
-    require_valid(C)
     support = C.support()
     transforms = {k: IntMatrix.identity(C.rank(k)) for k in support}
     inverses = dict(transforms)

@@ -20,7 +20,9 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
-        entries = [int(e) for e in entries]
+        entries = list(entries)
+        if not set(map(type, entries)) <= {int}:
+            raise TypeError("matrix entries must be int")
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries, got {len(entries)}")

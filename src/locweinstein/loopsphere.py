@@ -6,12 +6,14 @@ triangular degree-1 differential whose entries are integer multiples of
 powers of u.  The zero-section is the cone on u.  Since deg u < 0, each
 hom degree between two such objects is a finite free Z-module, so window
 cohomology and the geometricity obstruction are exact computations.
+Twisted complexes are valid by construction: the constructor checks that
+delta is strictly triangular, degree-pure and squares to zero.
 """
 
 from functools import cache
 
 from .intlin import IntMatrix, snf
-from .zcomplex import FreeComplex, homology, require_valid
+from .zcomplex import FreeComplex, HomologyProfile, homology
 
 
 class WindowError(ValueError):
@@ -53,6 +55,7 @@ class TwistedComplexA:
     component from summand `source` into summand `target` is
     coeff * u^power, nonzero only for target > source.  Degree purity pins
     the power: power * (1 - n) + shifts[source] - shifts[target] = 1.
+    Raises InvalidTwisted unless delta is a valid twisted differential.
     """
 
     __slots__ = ("ring", "shifts", "delta")
@@ -71,6 +74,7 @@ class TwistedComplexA:
                 raise InvalidTwisted("negative power of u")
             clean[(tgt, src)] = (coeff, power)
         self.delta = clean
+        require_valid_twisted(self)
 
     def expected_power(self, tgt, src):
         """The unique power of u legal at this slot, or None."""
@@ -116,30 +120,22 @@ class TwistedComplexA:
         return cls(ring, data.get("shifts", []), delta)
 
 
-def validate_twisted(T):
-    """True iff delta is strictly triangular, degree-pure, and squares to 0."""
-    for (tgt, src), (coeff, power) in T.delta.items():
-        if tgt <= src:
-            return False
-        if T.expected_power(tgt, src) != power:
-            return False
-    # delta * delta = 0, composing monomials in Z[u].
-    n = len(T.shifts)
-    for tgt in range(n):
-        for src in range(n):
-            acc = 0
-            for mid in range(src + 1, tgt):
-                a = T.delta.get((tgt, mid))
-                b = T.delta.get((mid, src))
-                if a and b:
-                    acc += a[0] * b[0]
-            if acc != 0:
-                return False
-    return True
-
-
 def require_valid_twisted(T):
-    if not validate_twisted(T):
+    """Raise InvalidTwisted unless delta is strictly triangular,
+    degree-pure, and squares to 0."""
+    for (tgt, src), (_, power) in T.delta.items():
+        if tgt <= src or T.expected_power(tgt, src) != power:
+            raise InvalidTwisted("not a valid twisted complex")
+    # delta * delta = 0, composing monomials in Z[u]: degree purity pins
+    # the power of every path, so only the coefficients can cancel.
+    leaving = {}
+    for (tgt, mid), (a, _) in T.delta.items():
+        leaving.setdefault(mid, []).append((tgt, a))
+    square = {}
+    for (mid, src), (b, _) in T.delta.items():
+        for tgt, a in leaving.get(mid, ()):
+            square[(tgt, src)] = square.get((tgt, src), 0) + a * b
+    if any(square.values()):
         raise InvalidTwisted("not a valid twisted complex")
 
 
@@ -149,7 +145,6 @@ def from_zcomplex(C, ring):
     One summand A[-k] per generator in degree k, delta entries the integer
     differential entries times u^0.
     """
-    require_valid(C)
     shifts = []
     index = {}
     for k in C.support():
@@ -176,25 +171,15 @@ def fiber(ring):
     return TwistedComplexA(ring, [0])
 
 
-class WindowProfile:
-    """Hom-complex cohomology restricted to a degree window."""
+class WindowProfile(HomologyProfile):
+    """Hom-complex cohomology restricted to the degree window [lo, hi]."""
 
-    __slots__ = ("lo", "hi", "data")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi, data):
+        super().__init__(data)
         self.lo = int(lo)
         self.hi = int(hi)
-        self.data = {int(k): (int(f), tuple(t)) for k, (f, t) in data.items()
-                     if (f or t)}
-
-    def free_rank(self, k):
-        return self.data.get(k, (0, ()))[0]
-
-    def torsion(self, k):
-        return self.data.get(k, (0, ()))[1]
-
-    def support(self):
-        return sorted(self.data)
 
     def __eq__(self, other):
         return (isinstance(other, WindowProfile) and self.lo == other.lo
@@ -205,8 +190,7 @@ class WindowProfile:
 
     def to_json_dict(self):
         return {"window": [self.lo, self.hi],
-                "profile": {str(k): {"free": f, "torsion": list(t)}
-                            for k, (f, t) in sorted(self.data.items())}}
+                "profile": super().to_json_dict()}
 
 
 def _hom_basis(T1, T2, d):
@@ -261,8 +245,6 @@ def hom_cohomology(T1, T2, window):
         raise WindowError("empty window")
     if T1.ring != T2.ring:
         raise ValueError("objects live over different rings")
-    require_valid_twisted(T1)
-    require_valid_twisted(T2)
     cx, _ = _hom_complex(T1, T2, lo - 1, hi + 1)
     prof = homology(cx)
     data = {k: prof.data[k] for k in prof.data if lo <= k <= hi}
@@ -306,7 +288,6 @@ def x_action_test(T, window):
     n = T.ring.n
     if hi - lo < n:
         raise WindowError("window must span at least n degrees")
-    require_valid_twisted(T)
     if not T.shifts:
         return True
     zs = zero_section(T.ring)

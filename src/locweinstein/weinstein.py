@@ -6,9 +6,11 @@ its carved co-core disks, which is exactly the input the classification
 consumes.
 """
 
+from sympy import nextprime
+
 from ._primes import PrimeSet
 from .localize import CategoryClass, classify_disks
-from .zcomplex import FreeComplex, elementary_complex, require_valid
+from .zcomplex import FreeComplex, elementary_complex
 
 
 class SubdomainSpec:
@@ -19,8 +21,6 @@ class SubdomainSpec:
     def __init__(self, ambient, carved=()):
         self.ambient = str(ambient)
         self.carved = list(carved)
-        for c in self.carved:
-            require_valid(c)
 
     def to_json_dict(self):
         return {"ambient": self.ambient,
@@ -117,15 +117,7 @@ def embedding_witness(P, Q):
     # Here Q contains 0 but P does not: every F_q kills the Q-side.
     q = 2
     while q in P.primes:
-        q = _next_prime(q)
-    return q
-
-
-def _next_prime(q):
-    from ._primes import is_prime
-    q += 1
-    while not is_prime(q):
-        q += 1
+        q = nextprime(q)
     return q
 
 

@@ -3,6 +3,10 @@
 Grading convention used throughout the package: Z[d] is a copy of Z placed
 in cohomological degree -d, and differentials raise degree by 1.  Shifting
 by k sends degree j to degree j - k and multiplies differentials by (-1)^k.
+
+Complexes and chain maps are valid by construction: their constructors
+check shapes, d o d = 0 and commutation with d once, so no function that
+takes one checks it again.
 """
 
 from .intlin import IntMatrix, snf
@@ -17,7 +21,7 @@ class FreeComplex:
 
     `degrees` maps degree k to rank(C^k) (only nonzero ranks stored);
     `differentials` maps k to the matrix of d^k: C^k -> C^{k+1}, of shape
-    rank(C^{k+1}) x rank(C^k).
+    rank(C^{k+1}) x rank(C^k).  Raises InvalidComplex unless d o d = 0.
     """
 
     __slots__ = ("degrees", "differentials")
@@ -37,6 +41,7 @@ class FreeComplex:
             if mat.rows and mat.cols and not mat.is_zero():
                 diffs[k] = mat
         self.differentials = diffs
+        require_valid(self)
 
     def rank(self, k):
         return self.degrees.get(k, 0)
@@ -77,7 +82,10 @@ class FreeComplex:
 
 
 class ChainMap:
-    """A degree-0 cochain map between two FreeComplexes."""
+    """A degree-0 cochain map between two FreeComplexes.
+
+    Raises InvalidComplex unless the components commute with d.
+    """
 
     __slots__ = ("source", "target", "components")
 
@@ -93,19 +101,15 @@ class ChainMap:
             if mat.rows and mat.cols and not mat.is_zero():
                 comps[k] = mat
         self.components = comps
+        for k in set(source.degrees) | set(target.degrees):
+            lhs = self.component(k + 1) * source.d(k)
+            if lhs != target.d(k) * self.component(k):
+                raise InvalidComplex(
+                    "chain map components do not commute with d")
 
     def component(self, k):
         return self.components.get(
             k, IntMatrix.zeros(self.target.rank(k), self.source.rank(k)))
-
-    def commutes(self):
-        degrees = set(self.source.degrees) | set(self.target.degrees)
-        for k in degrees:
-            lhs = self.component(k + 1) * self.source.d(k)
-            rhs = self.target.d(k) * self.component(k)
-            if lhs != rhs:
-                return False
-        return True
 
 
 class HomologyProfile:
@@ -154,20 +158,16 @@ class HomologyProfile:
                 for k, (f, t) in sorted(self.data.items())}
 
 
-def validate(C):
-    """True iff all shapes match and d o d = 0."""
-    try:
-        for k in set(C.degrees) | set(C.differentials):
-            if not (C.d(k + 1) * C.d(k)).is_zero():
-                return False
-    except Exception:
-        return False
-    return True
-
-
 def require_valid(C):
-    if not validate(C):
-        raise InvalidComplex("d o d != 0")
+    """Raise InvalidComplex unless d^{k+1} d^k = 0 for every k.
+
+    Shapes were checked on entry and an unstored differential is zero, so
+    only consecutive stored differentials can compose to something nonzero.
+    """
+    for k, mat in C.differentials.items():
+        nxt = C.differentials.get(k + 1)
+        if nxt is not None and not (nxt * mat).is_zero():
+            raise InvalidComplex("d o d != 0")
 
 
 def elementary_complex(m, d):
@@ -191,7 +191,6 @@ def homology(C):
     is the invariant factors >= 2 of d^{k-1}: im d^{k-1} lies in the
     saturated ker d^k, so the torsion of coker d^{k-1} lies there too.
     """
-    require_valid(C)
     factors = {k: snf(mat).invariant_factors()
                for k, mat in C.differentials.items()}
     data = {}
@@ -207,7 +206,6 @@ def homology(C):
 def shift(C, k):
     """The shifted complex C[k]: degree j of C[k] is degree j + k of C,
     with differentials scaled by (-1)^k."""
-    require_valid(C)
     sign = -1 if k % 2 else 1
     degrees = {j - k: r for j, r in C.degrees.items()}
     diffs = {j - k: mat.scaled(sign) for j, mat in C.differentials.items()}
@@ -216,8 +214,6 @@ def shift(C, k):
 
 def direct_sum(C, D):
     """Block-diagonal direct sum."""
-    require_valid(C)
-    require_valid(D)
     degrees = {}
     for k in set(C.degrees) | set(D.degrees):
         degrees[k] = C.rank(k) + D.rank(k)
@@ -240,11 +236,7 @@ def direct_sum(C, D):
 def cone(f):
     """Mapping cone of a chain map: cone(f)^k = source^{k+1} + target^k,
     differential [[-d_source, 0], [f, d_target]]."""
-    if not f.commutes():
-        raise InvalidComplex("chain map components do not commute with d")
     C, D = f.source, f.target
-    require_valid(C)
-    require_valid(D)
     degrees = {}
     for k in set(j - 1 for j in C.degrees) | set(D.degrees):
         r = C.rank(k + 1) + D.rank(k)
@@ -287,5 +279,4 @@ def zero_map(C, D):
 
 def euler_characteristic(C):
     """Alternating sum of ranks."""
-    require_valid(C)
     return sum((-1) ** (k % 2) * r for k, r in C.degrees.items())

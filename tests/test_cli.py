@@ -115,3 +115,41 @@ def test_stdin_input(monkeypatch):
     code, out, _ = invoke(["homology", "-"])
     assert code == 0
     assert out == (GOLDEN / "homology_moore.out").read_text()
+
+
+BAD_INPUTS = [
+    ("float", ["homology", "-"],
+     {"degrees": {"0": 1, "1": 1}, "differentials": {"0": [[2.7]]}},
+     "invalid-complex"),
+    ("bool", ["homology", "-"],
+     {"degrees": {"0": 1, "1": 1}, "differentials": {"0": [[True]]}},
+     "invalid-complex"),
+    ("array", ["homology", "-"], [{"degrees": {"0": 1}}], "bad-input"),
+    ("carved-string", ["classify", "-"], {"carved": "abc"}, "invalid-complex"),
+    ("carved-number", ["classify", "-"], {"carved": [1]}, "invalid-complex"),
+    ("degrees-list", ["homology", "-"], {"degrees": []}, "invalid-complex"),
+]
+
+
+@pytest.mark.parametrize("argv,payload,code", [b[1:] for b in BAD_INPUTS],
+                         ids=[b[0] for b in BAD_INPUTS])
+def test_bad_input_is_json_error(monkeypatch, argv, payload, code):
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    status, out, err = invoke(argv)
+    assert status == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == code
+
+
+def test_classify_prime_above_two_to_the_64(monkeypatch):
+    import sys
+    from sympy import nextprime
+    p = nextprime(2 ** 64)
+    spec = {"carved": [{"degrees": {"-1": 1, "0": 1},
+                        "differentials": {"-1": [[p]]}}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    status, out, err = invoke(["classify", "-"])
+    assert status == 0, err
+    assert json.loads(out)["primes"] == [p]

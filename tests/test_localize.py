@@ -1,4 +1,5 @@
 import pytest
+from sympy import nextprime
 
 from locweinstein.localize import (CategoryClass, CompositeModulusError,
                                    PrimeSet, category_nontrivial_over,
@@ -25,9 +26,14 @@ def test_prime_set_rejects_composite():
 def test_is_prime_deterministic():
     assert is_prime(2) and is_prime(97) and is_prime(2 ** 61 - 1)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2 ** 60)
-    from locweinstein.localize import PrimalityRangeError
-    with pytest.raises(PrimalityRangeError):
-        is_prime(2 ** 64)
+    assert not is_prime(2 ** 64)
+    assert is_prime(nextprime(2 ** 64))
+
+
+def test_classify_prime_above_two_to_the_64():
+    p = nextprime(2 ** 64)
+    cls = classify_disks([elementary_complex(p, 0)])
+    assert cls == CategoryClass("localized", PrimeSet([p]))
 
 
 def test_localized_homology_strips_two():

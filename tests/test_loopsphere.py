@@ -4,8 +4,8 @@ from sympy import factorint
 from locweinstein.loopsphere import (InvalidTwisted, SphereRing,
                                      TwistedComplexA, WindowError,
                                      WindowProfile, fiber, from_zcomplex,
-                                     hom_cohomology, validate_twisted,
-                                     x_action_test, zero_section)
+                                     hom_cohomology, x_action_test,
+                                     zero_section)
 from locweinstein.zcomplex import (FreeComplex, elementary_complex, homology)
 from locweinstein.intlin import IntMatrix
 from conftest import random_complex
@@ -28,44 +28,46 @@ def test_expected_power():
 
 
 def test_validate_rejects_upper_triangular():
-    T = TwistedComplexA(R3, [0, 3], {(1, 0): (1, 1)})
-    assert not validate_twisted(T)  # entry lowers the summand index order?
+    with pytest.raises(InvalidTwisted):  # u^1 cannot map A[0] to A[3]
+        TwistedComplexA(R3, [0, 3], {(1, 0): (1, 1)})
+    with pytest.raises(InvalidTwisted):  # strictly lower triangular only
+        TwistedComplexA(R3, [0, 3], {(0, 1): (1, 1)})
 
 
 def test_validate_rejects_wrong_power():
     with pytest.raises(InvalidTwisted):
         TwistedComplexA(R3, [3, 0], {(1, 0): (1, -1)})
-    T = TwistedComplexA(R3, [3, 0], {(1, 0): (1, 2)})
-    assert not validate_twisted(T)
+    with pytest.raises(InvalidTwisted):
+        TwistedComplexA(R3, [3, 0], {(1, 0): (1, 2)})
 
 
 def test_validate_rejects_nonsquare_zero():
     # three fiber summands u^0 -> u^0 with nonvanishing composite
-    T = TwistedComplexA(R3, [2, 1, 0],
-                        {(1, 0): (1, 0), (2, 1): (1, 0)})
-    assert not validate_twisted(T)
+    with pytest.raises(InvalidTwisted):
+        TwistedComplexA(R3, [2, 1, 0], {(1, 0): (1, 0), (2, 1): (1, 0)})
     S = TwistedComplexA(R3, [2, 1, 1, 0],
                         {(1, 0): (1, 0), (2, 0): (-1, 0),
                          (3, 1): (1, 0), (3, 2): (1, 0)})
-    assert validate_twisted(S)
+    assert len(S.delta) == 4
 
 
 def test_fiber_and_zero_section_are_valid():
-    assert validate_twisted(fiber(R3))
-    assert validate_twisted(zero_section(R3))
-    assert validate_twisted(zero_section(SphereRing(6)))
+    assert fiber(R3).delta == {}
+    assert zero_section(R3).delta == {(1, 0): (1, 1)}
+    assert zero_section(SphereRing(6)).shifts == (6, 0)
 
 
 def test_from_zcomplex_matches_by_hand():
     T = from_zcomplex(elementary_complex(6, 0), R3)
     assert T.shifts == (1, 0)
     assert T.delta == {(1, 0): (6, 0)}
-    assert validate_twisted(T)
 
 
 def test_from_zcomplex_random_is_valid(rng):
     for _ in range(25):
-        assert validate_twisted(from_zcomplex(random_complex(rng), R3))
+        C = random_complex(rng)
+        T = from_zcomplex(C, R3)
+        assert len(T.shifts) == sum(C.degrees.values())
 
 
 def test_json_round_trip():
@@ -165,6 +167,5 @@ def test_x_action_empty_object():
 
 
 def test_x_action_rejects_invalid():
-    bad = TwistedComplexA(R3, [2, 1, 0], {(1, 0): (1, 0), (2, 1): (1, 0)})
     with pytest.raises(InvalidTwisted):
-        x_action_test(bad, (-4, 4))
+        TwistedComplexA(R3, [2, 1, 0], {(1, 0): (1, 0), (2, 1): (1, 0)})

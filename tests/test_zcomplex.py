@@ -1,29 +1,29 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locweinstein.intlin import IntMatrix
 from locweinstein.zcomplex import (ChainMap, FreeComplex, HomologyProfile,
                                    InvalidComplex, cone, direct_sum,
                                    elementary_complex, euler_characteristic,
-                                   homology, scalar_map, shift, validate,
-                                   zero_map)
+                                   homology, scalar_map, shift, zero_map)
 from conftest import random_complex
 
 
 def test_validate_single_generator():
-    assert validate(FreeComplex({0: 1}))
+    assert FreeComplex({0: 1}).degrees == {0: 1}
 
 
 def test_validate_rejects_nonzero_square():
-    C = FreeComplex({0: 1, 1: 1, 2: 1},
+    with pytest.raises(InvalidComplex):
+        FreeComplex({0: 1, 1: 1, 2: 1},
                     {0: IntMatrix.from_rows([[1]]),
                      1: IntMatrix.from_rows([[1]])})
-    assert not validate(C)
 
 
 def test_validate_elementary():
-    assert validate(elementary_complex(6, 0))
+    assert elementary_complex(6, 0).d(-1) == IntMatrix.from_rows([[6]])
 
 
 def test_elementary_shape():
@@ -140,9 +140,8 @@ def test_cone_of_zero_map(rng):
 
 def test_cone_rejects_noncommuting():
     C = elementary_complex(2, 0)
-    bad = ChainMap(C, C, {-1: IntMatrix.from_rows([[1]])})
     with pytest.raises(InvalidComplex):
-        cone(bad)
+        ChainMap(C, C, {-1: IntMatrix.from_rows([[1]])})
 
 
 def test_euler_characteristic_elementary():
@@ -204,3 +203,51 @@ def test_json_round_trip(rng):
         D = FreeComplex.from_json_dict(json.loads(blob))
         assert D == C
         assert json.dumps(D.to_json_dict(), sort_keys=True) == blob
+
+
+# Complexes are valid by construction: the constructor is the only check.
+
+def _plain_product(a, b):
+    """Rows of a * b for row lists a (p x q) and b (q x r)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def raw_complexes(draw):
+    """Ranks of three or four consecutive degrees and small random
+    differentials between them, with no regard for d o d."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=3, max_size=4))
+    diffs = [draw(st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c),
+                           min_size=r, max_size=r))
+             for c, r in zip(ranks, ranks[1:])]
+    return ranks, diffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_complexes())
+def test_construction_rejects_exactly_nonzero_squares(raw):
+    ranks, diffs = raw
+    bad = any(any(any(row) for row in _plain_product(b, a))
+              for a, b in zip(diffs, diffs[1:]) if a and b)
+    degrees = dict(enumerate(ranks))
+    mats = {k: IntMatrix(ranks[k + 1], ranks[k],
+                         [e for row in rows for e in row])
+            for k, rows in enumerate(diffs)}
+    if bad:
+        with pytest.raises(InvalidComplex):
+            FreeComplex(degrees, mats)
+    else:
+        C = FreeComplex(degrees, mats)
+        assert all(C.d(k) == m for k, m in mats.items())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32),
+       st.integers(-3, 3), st.integers(-4, 4))
+def test_operations_on_valid_complexes_construct(seed_c, seed_d, k, m):
+    C = random_complex(random.Random(seed_c), max_rank=3)
+    D = random_complex(random.Random(seed_d), max_rank=3)
+    assert shift(C, k).degrees == {j - k: r for j, r in C.degrees.items()}
+    assert direct_sum(C, D).rank(0) == C.rank(0) + D.rank(0)
+    assert isinstance(cone(scalar_map(C, m)), FreeComplex)
