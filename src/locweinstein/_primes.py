@@ -2,6 +2,8 @@
 
 from sympy import factorint, isprime
 
+from .intlin import parse_int
+
 
 def is_prime(n):
     """sympy's isprime: a proof below 2^64, BPSW above.
@@ -9,15 +11,20 @@ def is_prime(n):
     No BPSW pseudoprime is known; it is the same test `factorint` trusts
     for the prime divisors it returns, so those are accepted unchanged.
     """
-    return isprime(int(n))
+    return isprime(n)
 
 
 def prime_divisors(m):
     """Sorted prime divisors of |m|, m != 0."""
-    m = abs(int(m))
+    m = abs(m)
     if m == 0:
         raise ValueError("0 has no prime divisors")
     return sorted(factorint(m))
+
+
+def parse_ints(text):
+    """Comma-separated canonical integers such as "2,3,0"; "" gives []."""
+    return [parse_int(tok) for tok in text.split(",")] if text else []
 
 
 class PrimeSet:
@@ -32,7 +39,6 @@ class PrimeSet:
     def __init__(self, primes=(), contains_zero=False):
         ps = set()
         for p in primes:
-            p = int(p)
             if p == 0:
                 contains_zero = True
                 continue
@@ -45,10 +51,7 @@ class PrimeSet:
     @classmethod
     def parse(cls, text):
         """Parse a comma-separated list such as "2,3,0"; "" is the empty set."""
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(int(tok) for tok in text.split(","))
+        return cls(parse_ints(text))
 
     def is_empty(self):
         return not self.contains_zero and not self.primes

@@ -10,8 +10,9 @@ import os
 import sys
 
 from . import __version__
-from ._primes import PrimeSet
+from ._primes import PrimeSet, parse_ints
 from .decompose import elementary_decomposition
+from .intlin import parse_int
 from .loopsphere import (SphereRing, TwistedComplexA, WindowError,
                          hom_cohomology, x_action_test, zero_section)
 from .weinstein import (SubdomainSpec, embeddable, embedding_witness,
@@ -45,51 +46,46 @@ def _read_json(path):
         else:
             with open(path) as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError("bad-input", str(exc)) from exc
     if not isinstance(data, dict):
         raise DomainError("bad-input", "top-level JSON value must be an object")
     return data
 
 
-def _load_complex(data):
+def _guard(code, fn, *args):
+    """fn(*args), reporting a rejected input as a DomainError: a WindowError
+    as uncertifiable-window, any other as `code`."""
     try:
-        return FreeComplex.from_json_dict(data)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DomainError("invalid-complex", str(exc)) from exc
-
-
-def _parse_primes(text):
-    try:
-        return PrimeSet.parse(text)
-    except ValueError as exc:
-        raise DomainError("invalid-prime", str(exc)) from exc
+        return fn(*args)
+    except WindowError as exc:
+        raise DomainError("uncertifiable-window", str(exc)) from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DomainError(code, str(exc)) from exc
 
 
 def _cmd_homology(args, fmt, out):
-    cx = _load_complex(_read_json(args.input))
+    cx = _guard("invalid-complex", FreeComplex.from_json_dict,
+                _read_json(args.input))
     _emit({"homology": homology(cx).to_json_dict()}, fmt, out)
 
 
 def _cmd_decompose(args, fmt, out):
-    cx = _load_complex(_read_json(args.input))
+    cx = _guard("invalid-complex", FreeComplex.from_json_dict,
+                _read_json(args.input))
     dec = elementary_decomposition(cx)
     _emit({"decomposition": dec.to_json_dict()}, fmt, out)
 
 
 def _cmd_classify(args, fmt, out):
-    data = _read_json(args.input)
-    carved = data.get("carved", [])
-    if not isinstance(carved, list):
-        raise DomainError("invalid-complex", "carved must be a list of complexes")
-    spec = SubdomainSpec(data.get("ambient", ""),
-                         [_load_complex(c) for c in carved])
+    spec = _guard("invalid-complex", SubdomainSpec.from_json_dict,
+                  _read_json(args.input))
     _emit(subdomain_classify(spec).to_json_dict(), fmt, out)
 
 
 def _cmd_embeddable(args, fmt, out):
-    P = _parse_primes(args.P)
-    Q = _parse_primes(args.Q)
+    P = _guard("invalid-prime", PrimeSet.parse, args.P)
+    Q = _guard("invalid-prime", PrimeSet.parse, args.Q)
     ok = embeddable(P, Q)
     payload = {"embeddable": ok}
     witness = embedding_witness(P, Q)
@@ -99,48 +95,22 @@ def _cmd_embeddable(args, fmt, out):
 
 
 def _cmd_chain(args, fmt, out):
-    primes = _parse_primes(args.primes)
-    order = [int(tok) for tok in args.primes.split(",")] if args.primes.strip() else []
-    if primes.contains_zero:
-        raise DomainError("invalid-prime", "chain takes primes only, not 0")
-    try:
-        chain = lattice_chain(order)
-    except ValueError as exc:
-        raise DomainError("invalid-prime", str(exc)) from exc
+    chain = _guard("invalid-prime",
+                   lambda: lattice_chain(parse_ints(args.primes)))
     _emit({"chain": [ps.to_json_list() for ps in chain]}, fmt, out)
 
 
 def _cmd_sphere_end(args, fmt, out):
-    ring = _ring(args.n)
-    zs = zero_section(ring)
-    prof = _windowed(lambda: hom_cohomology(zs, zs, (args.lo, args.hi)))
+    zs = zero_section(_guard("invalid-dimension", SphereRing, args.n))
+    prof = _guard("invalid-twisted", hom_cohomology, zs, zs, (args.lo, args.hi))
     _emit({"end_cohomology": prof.to_json_dict()}, fmt, out)
 
 
 def _cmd_sphere_geometric(args, fmt, out):
-    data = _read_json(args.input)
-    try:
-        T = TwistedComplexA.from_json_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DomainError("invalid-twisted", str(exc)) from exc
-    verdict = _windowed(lambda: x_action_test(T, (args.lo, args.hi)))
+    T = _guard("invalid-twisted", TwistedComplexA.from_json_dict,
+               _read_json(args.input))
+    verdict = _guard("invalid-twisted", x_action_test, T, (args.lo, args.hi))
     _emit({"x_action": "pass" if verdict else "fail"}, fmt, out)
-
-
-def _ring(n):
-    try:
-        return SphereRing(n)
-    except ValueError as exc:
-        raise DomainError("invalid-dimension", str(exc)) from exc
-
-
-def _windowed(thunk):
-    try:
-        return thunk()
-    except WindowError as exc:
-        raise DomainError("uncertifiable-window", str(exc)) from exc
-    except ValueError as exc:
-        raise DomainError("invalid-twisted", str(exc)) from exc
 
 
 def build_parser():
@@ -175,16 +145,16 @@ def build_parser():
 
     p = sub.add_parser("sphere-end",
                        help="window cohomology of End(zero_section) over Z[u]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--lo", type=parse_int, required=True)
+    p.add_argument("--hi", type=parse_int, required=True)
     p.set_defaults(func=_cmd_sphere_end)
 
     p = sub.add_parser("sphere-geometric",
                        help="necessary geometricity test for a twisted complex")
     p.add_argument("input", help="TwistedComplexA JSON file, or - for stdin")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
+    p.add_argument("--lo", type=parse_int, required=True)
+    p.add_argument("--hi", type=parse_int, required=True)
     p.set_defaults(func=_cmd_sphere_geometric)
 
     return parser

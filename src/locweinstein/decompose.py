@@ -29,7 +29,7 @@ class ElementarySummand:
         if kind == "free":
             m = None
         self.kind = kind
-        self.d = int(d)
+        self.d = d
         self.m = m
 
     def key(self):

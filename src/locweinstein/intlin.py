@@ -5,11 +5,34 @@ inverses, saturated kernel bases, and integer linear solving, all read off
 one elimination.  Everything runs on Python ints, so entries never
 overflow, but they do grow: the certificates of a dense 60x60 matrix reach
 about 28k bits, and products with them cost accordingly.
+
+The integer rule for outside input lives here too: `require_ints` for
+values and `parse_int` for integer text.
 """
 
 
 class DimensionError(ValueError):
     """Shapes of the operands do not match."""
+
+
+def require_ints(values, what):
+    """A value counts as an integer only if its type is int, so never a
+    bool, float or string; raises TypeError otherwise."""
+    if not set(map(type, values)) <= {int}:
+        raise TypeError(f"{what} must be int")
+
+
+def parse_int(text):
+    """Integer text counts only in canonical form, str(int(text)) == text,
+    so " 1", "+1", "01", "-0" and "1_0" are refused with ValueError."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if str(value) == text:
+            return value
+    raise ValueError(f"{text!r} is not a canonical integer")
 
 
 class IntMatrix:
@@ -21,8 +44,7 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
         entries = list(entries)
-        if not set(map(type, entries)) <= {int}:
-            raise TypeError("matrix entries must be int")
+        require_ints(entries, "matrix entries")
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries, got {len(entries)}")

@@ -12,8 +12,8 @@ delta is strictly triangular, degree-pure and squares to zero.
 
 from functools import cache
 
-from .intlin import IntMatrix, snf
-from .zcomplex import FreeComplex, HomologyProfile, homology
+from .intlin import IntMatrix, require_ints, snf
+from .zcomplex import FreeComplex, HomologyProfile, homology, json_field
 
 
 class WindowError(ValueError):
@@ -30,9 +30,10 @@ class SphereRing:
     __slots__ = ("n",)
 
     def __init__(self, n):
+        require_ints([n], "sphere dimension")
         if n < 2:
             raise ValueError("sphere dimension must be >= 2")
-        self.n = int(n)
+        self.n = n
 
     @property
     def deg_u(self):
@@ -62,10 +63,11 @@ class TwistedComplexA:
 
     def __init__(self, ring, shifts, delta=None):
         self.ring = ring
-        self.shifts = tuple(int(s) for s in shifts)
+        self.shifts = tuple(shifts)
+        require_ints(self.shifts, "shifts")
         clean = {}
-        for (tgt, src), value in (delta or {}).items():
-            coeff, power = int(value[0]), int(value[1])
+        for (tgt, src), (coeff, power) in (delta or {}).items():
+            require_ints((tgt, src, coeff, power), "delta entries")
             if coeff == 0:
                 continue
             if not (0 <= src < len(self.shifts) and 0 <= tgt < len(self.shifts)):
@@ -105,11 +107,15 @@ class TwistedComplexA:
     def from_json_dict(cls, data):
         ring = SphereRing(data["n"])
         delta = {}
-        for ent in data.get("delta", []):
-            tgt, src = int(ent["row"]), int(ent["col"])
+        for ent in json_field(data, "delta", list):
+            tgt, src = ent["row"], ent["col"]
+            coeffs = json_field(ent, "coeffs", list)
+            # Checked before the terms are merged, where 1.0 would pass as 1.
+            require_ints([tgt, src, *(x for term in coeffs for x in term)],
+                         "delta entries")
             terms = {}
-            for power, coeff in ent.get("coeffs", []):
-                terms[int(power)] = terms.get(int(power), 0) + int(coeff)
+            for power, coeff in coeffs:
+                terms[power] = terms.get(power, 0) + coeff
             terms = {p: c for p, c in terms.items() if c}
             if not terms:
                 continue
@@ -117,7 +123,7 @@ class TwistedComplexA:
                 raise InvalidTwisted("entry mixes distinct powers of u")
             ((power, coeff),) = terms.items()
             delta[(tgt, src)] = (coeff, power)
-        return cls(ring, data.get("shifts", []), delta)
+        return cls(ring, json_field(data, "shifts", list), delta)
 
 
 def require_valid_twisted(T):
@@ -178,8 +184,8 @@ class WindowProfile(HomologyProfile):
 
     def __init__(self, lo, hi, data):
         super().__init__(data)
-        self.lo = int(lo)
-        self.hi = int(hi)
+        self.lo = lo
+        self.hi = hi
 
     def __eq__(self, other):
         return (isinstance(other, WindowProfile) and self.lo == other.lo

@@ -10,7 +10,7 @@ from sympy import nextprime
 
 from ._primes import PrimeSet
 from .localize import CategoryClass, classify_disks
-from .zcomplex import FreeComplex, elementary_complex
+from .zcomplex import FreeComplex, elementary_complex, json_field
 
 
 class SubdomainSpec:
@@ -19,49 +19,29 @@ class SubdomainSpec:
     __slots__ = ("ambient", "carved")
 
     def __init__(self, ambient, carved=()):
-        self.ambient = str(ambient)
+        self.ambient = ambient
         self.carved = list(carved)
-
-    def to_json_dict(self):
-        return {"ambient": self.ambient,
-                "carved": [c.to_json_dict() for c in self.carved]}
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data.get("ambient", ""),
-                   [FreeComplex.from_json_dict(c) for c in data.get("carved", [])])
+        return cls(json_field(data, "ambient", str),
+                   [FreeComplex.from_json_dict(c)
+                    for c in json_field(data, "carved", list)])
 
 
 class HandlePresentation:
-    """Subcritical part label plus critical handles, each optionally
-    decorated with a prime set (empty decoration = standard handle)."""
+    """Subcritical part label plus critical handles, each decorated with a
+    PrimeSet (the empty set for a standard handle)."""
 
     __slots__ = ("subcritical", "critical_handles")
 
     def __init__(self, subcritical, critical_handles=()):
-        self.subcritical = str(subcritical)
-        handles = []
-        for h in critical_handles:
-            if h is None:
-                h = PrimeSet()
-            if not isinstance(h, PrimeSet):
-                h = PrimeSet(h)
-            handles.append(h)
-        self.critical_handles = handles
+        self.subcritical = subcritical
+        self.critical_handles = list(critical_handles)
 
     @classmethod
     def standard(cls, label, n_handles):
         return cls(label, [PrimeSet() for _ in range(n_handles)])
-
-    def to_json_dict(self):
-        return {"subcritical": self.subcritical,
-                "critical_handles": [h.to_json_list() for h in self.critical_handles]}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(data.get("subcritical", ""),
-                   [PrimeSet(h) for h in data.get("critical_handles", [])])
-
 
 def p_handle_disks(P):
     """Disks carved by decorating one critical handle with P.
@@ -124,10 +104,8 @@ def embedding_witness(P, Q):
 def lattice_chain(primes):
     """Prefix chain of prime sets for a list of distinct primes:
     empty set, {p1}, {p1, p2}, ..."""
-    primes = [int(p) for p in primes]
     if len(set(primes)) != len(primes):
         raise ValueError("duplicate primes in chain")
-    chain = [PrimeSet()]
-    for i in range(1, len(primes) + 1):
-        chain.append(PrimeSet(primes[:i]))
-    return chain
+    if 0 in primes:
+        raise ValueError("a chain takes primes only, not 0")
+    return [PrimeSet(primes[:i]) for i in range(len(primes) + 1)]

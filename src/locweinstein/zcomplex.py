@@ -9,7 +9,20 @@ check shapes, d o d = 0 and commutation with d once, so no function that
 takes one checks it again.
 """
 
-from .intlin import IntMatrix, snf
+from .intlin import IntMatrix, parse_int, require_ints, snf
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def json_field(data, key, kind):
+    """data[key], or an empty `kind` when the key is absent, after checking
+    that data is a JSON object and the field has the JSON type `kind`."""
+    if not isinstance(data, dict):
+        raise TypeError("expected a JSON object")
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} must be {_JSON_TYPES[kind]}")
+    return value
 
 
 class InvalidComplex(ValueError):
@@ -27,12 +40,14 @@ class FreeComplex:
     __slots__ = ("degrees", "differentials")
 
     def __init__(self, degrees, differentials=None):
-        self.degrees = {int(k): int(r) for k, r in degrees.items() if r != 0}
+        differentials = differentials or {}
+        require_ints([*degrees, *degrees.values(), *differentials],
+                     "degrees and ranks")
+        self.degrees = {k: r for k, r in degrees.items() if r != 0}
         if any(r < 0 for r in self.degrees.values()):
             raise InvalidComplex("negative rank")
         diffs = {}
-        for k, mat in (differentials or {}).items():
-            k = int(k)
+        for k, mat in differentials.items():
             if mat.rows != self.rank(k + 1) or mat.cols != self.rank(k):
                 raise InvalidComplex(
                     f"differential at degree {k} has shape "
@@ -71,13 +86,17 @@ class FreeComplex:
 
     @classmethod
     def from_json_dict(cls, data):
-        degrees = {int(k): int(r) for k, r in data.get("degrees", {}).items()}
+        """Load the JSON form; an empty row list means no differential."""
+        degrees = {parse_int(k): r
+                   for k, r in json_field(data, "degrees", dict).items()}
         diffs = {}
-        for k, rows in data.get("differentials", {}).items():
-            k = int(k)
-            target = degrees.get(k + 1, 0)
-            diffs[k] = IntMatrix.from_rows(rows, cols=degrees.get(k, 0)) \
-                if rows else IntMatrix.zeros(target, degrees.get(k, 0))
+        for k, rows in json_field(data, "differentials", dict).items():
+            k = parse_int(k)
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, list) for row in rows)):
+                raise TypeError(f"differential {k} must be an array of arrays")
+            if rows:
+                diffs[k] = IntMatrix.from_rows(rows)
         return cls(degrees, diffs)
 
 
@@ -92,9 +111,9 @@ class ChainMap:
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
+        require_ints(components, "component degrees")
         comps = {}
         for k, mat in components.items():
-            k = int(k)
             if mat.rows != target.rank(k) or mat.cols != source.rank(k):
                 raise InvalidComplex(
                     f"component at degree {k} has wrong shape")
@@ -125,14 +144,14 @@ class HomologyProfile:
     def __init__(self, data):
         clean = {}
         for k, (free, torsion) in data.items():
-            torsion = tuple(int(t) for t in torsion)
+            torsion = tuple(torsion)
             if any(t < 2 for t in torsion):
                 raise ValueError("torsion invariant factors must be >= 2")
             for a, b in zip(torsion, torsion[1:]):
                 if b % a != 0:
                     raise ValueError("torsion list must be a divisibility chain")
             if free or torsion:
-                clean[int(k)] = (int(free), torsion)
+                clean[k] = (free, torsion)
         self.data = clean
 
     def free_rank(self, k):

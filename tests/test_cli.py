@@ -87,6 +87,16 @@ def test_bad_prime_set():
     assert code == 1
 
 
+def test_integer_text_must_be_canonical():
+    code, out, err = invoke(["embeddable", "--P", "2,+3", "--Q", "2"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "invalid-prime"
+    code, out, _ = invoke(["sphere-end", "--n", "1_0", "--lo", "0", "--hi", "1"])
+    assert code == 2
+    assert out == ""
+
+
 def test_window_error_reported():
     code, _, err = invoke(["sphere-geometric",
                            str(GOLDEN / "geom_zero_section.json"),
@@ -117,6 +127,8 @@ def test_stdin_input(monkeypatch):
     assert out == (GOLDEN / "homology_moore.out").read_text()
 
 
+GEOMETRIC = ["sphere-geometric", "-", "--lo", "-4", "--hi", "4"]
+
 BAD_INPUTS = [
     ("float", ["homology", "-"],
      {"degrees": {"0": 1, "1": 1}, "differentials": {"0": [[2.7]]}},
@@ -128,6 +140,43 @@ BAD_INPUTS = [
     ("carved-string", ["classify", "-"], {"carved": "abc"}, "invalid-complex"),
     ("carved-number", ["classify", "-"], {"carved": [1]}, "invalid-complex"),
     ("degrees-list", ["homology", "-"], {"degrees": []}, "invalid-complex"),
+    ("fractional-rank", ["homology", "-"],
+     {"degrees": {"0": 1.9, "1": True}, "differentials": {"0": [[2]]}},
+     "invalid-complex"),
+    ("fractional-twisted", GEOMETRIC,
+     {"n": 3.7, "shifts": [1.5, 0],
+      "delta": [{"row": 1, "col": 0, "coeffs": [[0, 6.9]]}]},
+     "invalid-twisted"),
+    ("infinite-rank", ["homology", "-"], {"degrees": {"0": float("inf")}},
+     "invalid-complex"),
+    ("infinite-n", GEOMETRIC, {"n": float("inf"), "shifts": [0]},
+     "invalid-twisted"),
+    ("infinite-shift", GEOMETRIC, {"n": 3, "shifts": [float("inf")]},
+     "invalid-twisted"),
+    ("string-rank", ["homology", "-"], {"degrees": {"0": "1"}},
+     "invalid-complex"),
+    ("exponent-rank", ["homology", "-"], {"degrees": {"0": 1e20}},
+     "invalid-complex"),
+    ("spaced-key", ["homology", "-"],
+     {"degrees": {"0": 1}, "differentials": {" 0": []}}, "invalid-complex"),
+    ("underscore-key", ["homology", "-"], {"degrees": {"1_0": 1}},
+     "invalid-complex"),
+    ("minus-zero-key", ["homology", "-"], {"degrees": {"-0": 1}},
+     "invalid-complex"),
+    ("leading-zero-key", ["homology", "-"], {"degrees": {"01": 1}},
+     "invalid-complex"),
+    ("float-row", GEOMETRIC,
+     {"n": 3, "shifts": [3, 0],
+      "delta": [{"row": 1.0, "col": 0, "coeffs": [[1, 1]]}]},
+     "invalid-twisted"),
+    ("bool-n", GEOMETRIC, {"n": True, "shifts": [0]}, "invalid-twisted"),
+    ("string-shifts", GEOMETRIC, {"n": 3, "shifts": ""}, "invalid-twisted"),
+    ("carved-empty-string", ["classify", "-"], {"carved": ""},
+     "invalid-complex"),
+    ("ambient-list", ["classify", "-"], {"ambient": [1]}, "invalid-complex"),
+    ("string-rows", ["homology", "-"],
+     {"degrees": {"1": 2}, "differentials": {"0": ["", {}]}},
+     "invalid-complex"),
 ]
 
 
@@ -141,6 +190,16 @@ def test_bad_input_is_json_error(monkeypatch, argv, payload, code):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"] == code
+
+
+def test_deeply_nested_json_is_bad_input(monkeypatch):
+    import sys
+    depth = 100_000
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * depth + "]" * depth))
+    status, out, err = invoke(["homology", "-"])
+    assert status == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-input"
 
 
 def test_classify_prime_above_two_to_the_64(monkeypatch):

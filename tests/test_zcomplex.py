@@ -203,6 +203,10 @@ def test_json_round_trip(rng):
         D = FreeComplex.from_json_dict(json.loads(blob))
         assert D == C
         assert json.dumps(D.to_json_dict(), sort_keys=True) == blob
+    # An empty row list is no differential, whatever the ranks around it.
+    raw = {"degrees": {"0": 2, "1": 3}, "differentials": {"0": []}}
+    assert FreeComplex.from_json_dict(raw) == \
+        FreeComplex.from_json_dict({"degrees": raw["degrees"]})
 
 
 # Complexes are valid by construction: the constructor is the only check.
