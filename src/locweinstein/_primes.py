@@ -1,8 +1,8 @@
 """Prime sets and primality, shared by localize and decompose."""
 
-from sympy import factorint, isprime
-
 from .intlin import parse_int
+
+# sympy is imported on first use: loading it is most of the CLI's start-up time.
 
 
 def is_prime(n):
@@ -11,6 +11,7 @@ def is_prime(n):
     No BPSW pseudoprime is known; it is the same test `factorint` trusts
     for the prime divisors it returns, so those are accepted unchanged.
     """
+    from sympy import isprime
     return isprime(n)
 
 
@@ -19,6 +20,7 @@ def prime_divisors(m):
     m = abs(m)
     if m == 0:
         raise ValueError("0 has no prime divisors")
+    from sympy import factorint
     return sorted(factorint(m))
 
 

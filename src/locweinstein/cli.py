@@ -39,13 +39,21 @@ def _emit(payload, fmt, out):
             out.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
 
+def _unique_keys(pairs):
+    """object_pairs_hook refusing a repeated key rather than keeping the last."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        raise ValueError("repeated key in a JSON object")
+    return data
+
+
 def _read_json(path):
     try:
         if path == "-":
-            data = json.load(sys.stdin)
+            data = json.load(sys.stdin, object_pairs_hook=_unique_keys)
         else:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise DomainError("bad-input", str(exc)) from exc
     if not isinstance(data, dict):

@@ -106,13 +106,16 @@ class TwistedComplexA:
     @classmethod
     def from_json_dict(cls, data):
         ring = SphereRing(data["n"])
-        delta = {}
+        delta, seen = {}, set()
         for ent in json_field(data, "delta", list):
             tgt, src = ent["row"], ent["col"]
             coeffs = json_field(ent, "coeffs", list)
             # Checked before the terms are merged, where 1.0 would pass as 1.
             require_ints([tgt, src, *(x for term in coeffs for x in term)],
                          "delta entries")
+            if (tgt, src) in seen:
+                raise InvalidTwisted(f"repeated delta entry ({tgt}, {src})")
+            seen.add((tgt, src))
             terms = {}
             for power, coeff in coeffs:
                 terms[power] = terms.get(power, 0) + coeff

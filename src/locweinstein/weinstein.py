@@ -6,8 +6,6 @@ its carved co-core disks, which is exactly the input the classification
 consumes.
 """
 
-from sympy import nextprime
-
 from ._primes import PrimeSet
 from .localize import CategoryClass, classify_disks
 from .zcomplex import FreeComplex, elementary_complex, json_field
@@ -95,6 +93,7 @@ def embedding_witness(P, Q):
     if extra:
         return extra[0]
     # Here Q contains 0 but P does not: every F_q kills the Q-side.
+    from sympy import nextprime
     q = 2
     while q in P.primes:
         q = nextprime(q)

@@ -177,6 +177,14 @@ BAD_INPUTS = [
     ("string-rows", ["homology", "-"],
      {"degrees": {"1": 2}, "differentials": {"0": ["", {}]}},
      "invalid-complex"),
+    # Ambiguous input is refused, not resolved in favor of one reading.
+    ("repeated-key", ["homology", "-"],
+     '{"degrees": {"0": 1, "0": 2}, "differentials": {}}', "bad-input"),
+    ("repeated-delta-entry", GEOMETRIC,
+     {"n": 3, "shifts": [3, 0],
+      "delta": [{"row": 1, "col": 0, "coeffs": [[1, 2]]},
+                {"row": 1, "col": 0, "coeffs": [[1, 2], [1, -2]]}]},
+     "invalid-twisted"),
 ]
 
 
@@ -184,7 +192,8 @@ BAD_INPUTS = [
                          ids=[b[0] for b in BAD_INPUTS])
 def test_bad_input_is_json_error(monkeypatch, argv, payload, code):
     import sys
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     status, out, err = invoke(argv)
     assert status == 1
     assert out == ""

@@ -32,6 +32,22 @@ def test_int_is_called_only_by_the_integer_text_parser():
     assert offenders == []
 
 
+def test_sympy_is_not_imported_at_module_level():
+    # Loading sympy is most of the CLI's start-up time; it loads on first use.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "sympy"]
+    assert offenders == []
+
+
 # The CLI on payloads that mix small ints with leaves of the wrong type,
 # non-canonical keys and containers of the wrong JSON type.
 
