@@ -2,9 +2,12 @@
 
 Smith normal form with unimodular change-of-basis certificates and their
 inverses, saturated kernel bases, and integer linear solving, all read off
-one elimination.  Everything runs on Python ints, so entries never
-overflow, but they do grow: the certificates of a dense 60x60 matrix reach
-about 28k bits, and products with them cost accordingly.
+one elimination.  The elimination reduces only S and logs its row and
+column operations; all four certificates are replayed from those logs on
+first read.  Everything runs on Python ints, so entries never overflow,
+but they do grow: the certificates of a dense 60x60 matrix reach about
+28k bits, a cost paid only by callers that read them.  Invariant factors
+and rank cost just the elimination.
 
 The integer rule for outside input lives here too: `require_ints` for
 values and `parse_int` for integer text.
@@ -132,37 +135,73 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
+# `snf` logs its row and its column operations in two lists, one tuple
+# (code, a, b, q) per operation.  Swaps exchange lines a and b, additions
+# add q times line a to line b, negations negate line a.
+_SWAP, _ADD, _NEGATE = range(3)
+
+
+def _replay(log, n, undo):
+    """One side's logged operations, in log order, as row operations on
+    the rows of the n x n identity.
+
+    Forward, each operation is repeated: this builds U = E_k ... E_1 for
+    rows and V^T = F_k^T ... F_1^T for columns.  Undone, line a loses q
+    times line b, and swaps and negations are their own inverses: this
+    builds (U^-1)^T = E_k^-T ... E_1^-T and V^-1 = F_k^-1 ... F_1^-1.
+    """
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    line = range(n)
+    for code, a, b, q in log:
+        if code == _ADD:
+            if undo:
+                a, b, q = b, a, -q
+            src, dst = rows[a], rows[b]
+            for j in line:
+                dst[j] += q * src[j]
+        elif code == _SWAP:
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            rows[a] = [-x for x in rows[a]]
+    return rows
+
+
+def _certificate(name, side, undo, transposed):
+    """Property replaying one certificate from the log of `side` (0 for
+    rows, 1 for columns) on first read."""
+    def read(self):
+        if name not in self._certs:
+            n = self.S.cols if side else self.S.rows
+            rows = _replay(self._logs[side], n, undo)
+            self._certs[name] = IntMatrix.from_rows(
+                list(zip(*rows)) if transposed else rows, cols=n)
+        return self._certs[name]
+    return property(read)
+
+
 class SnfResult:
     """Certified Smith normal form: U * M * V = S with U, V unimodular.
 
-    `U_inv` and `V_inv` are built on first use by undoing, in order, the
-    elementary operations `snf` logged while reducing M.
+    Only S and the logs of the elementary operations `snf` applied are
+    kept.  U, V, `U_inv` and `V_inv` are each replayed from those logs on
+    first read, so their entry growth is paid only by callers that read
+    them.
     """
 
-    __slots__ = ("S", "U", "V", "_log", "_U_inv", "_V_inv")
+    __slots__ = ("S", "_logs", "_certs")
 
-    def __init__(self, S, U, V, log):
+    def __init__(self, S, row_log, col_log):
         self.S = S
-        self.U = U
-        self.V = V
-        self._log = log
-        self._U_inv = None
-        self._V_inv = None
+        self._logs = (row_log, col_log)
+        self._certs = {}
 
-    @property
-    def U_inv(self):
-        if self._U_inv is None:
-            # The undone row operations act on rows of the transpose.
-            self._U_inv = _undo(self._log, (_SWAP_ROWS, _ADD_ROW, _NEGATE_ROW),
-                                self.U.rows).transpose()
-        return self._U_inv
-
-    @property
-    def V_inv(self):
-        if self._V_inv is None:
-            self._V_inv = _undo(self._log, (_SWAP_COLS, _ADD_COL, None),
-                                self.V.rows)
-        return self._V_inv
+    # Replays give U, V^T, (U^-1)^T and V^-1; transpose the middle two.
+    U = _certificate("U", 0, False, False)
+    V = _certificate("V", 1, False, True)
+    U_inv = _certificate("U_inv", 0, True, True)
+    V_inv = _certificate("V_inv", 1, True, False)
 
     def diagonal(self):
         n = min(self.S.rows, self.S.cols)
@@ -176,7 +215,7 @@ class SnfResult:
 
     def kernel(self):
         """Saturated basis of ker M: the last cols - rank columns of V."""
-        r, n = self.rank(), self.V.rows
+        r, n = self.rank(), self.S.cols
         return IntMatrix(n, n - r, [e for row in self.V.to_rows() for e in row[r:]])
 
     def solve(self, b):
@@ -190,33 +229,6 @@ class SnfResult:
             return None
         y = [ci // d for ci, d in zip(c, diag) if d]
         return self.V.apply(y + [0] * (self.S.cols - len(y)))
-
-
-# `snf` logs each elementary operation as four ints: code, a, b, q.
-# Swaps exchange lines a and b, additions add q times line a to line b,
-# negations negate line a.
-_SWAP_ROWS, _ADD_ROW, _NEGATE_ROW, _SWAP_COLS, _ADD_COL = range(5)
-
-
-def _undo(log, codes, n):
-    """The n x n inverse of one side's logged operations, row-wise.
-
-    Each operation is undone by a row operation on the identity, applied
-    in log order: line a loses q times line b, swaps and negations are
-    their own inverses.  For columns this builds V^-1 = F_k^-1 ... F_1^-1;
-    for rows it builds (U^-1)^T, since U^-1 = E_1^-1 ... E_k^-1.
-    """
-    swap, add, negate = codes
-    rows = IntMatrix.identity(n).to_rows()
-    for i in range(0, len(log), 4):
-        code, a, b, q = log[i:i + 4]
-        if code == swap:
-            rows[a], rows[b] = rows[b], rows[a]
-        elif code == add:
-            rows[a] = [x - q * y for x, y in zip(rows[a], rows[b])]
-        elif code == negate:
-            rows[a] = [-x for x in rows[a]]
-    return IntMatrix.from_rows(rows, cols=n)
 
 
 def _pivot(rows, r0, c0, nrows, ncols):
@@ -236,45 +248,33 @@ def _pivot(rows, r0, c0, nrows, ncols):
 
 
 def snf(M):
-    """Smith normal form with unimodular certificates.
+    """Smith normal form, certified by the logs of its operations.
 
-    Returns SnfResult(S, U, V) with U*M*V = S, S diagonal with nonnegative
-    entries in a divisibility chain (zeros last).
+    Returns SnfResult with U*M*V = S, S diagonal with nonnegative entries
+    in a divisibility chain (zeros last).  Only S is eliminated; U and V
+    are replayed from the logs when read.
     """
     m, n = M.rows, M.cols
     S = M.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
-    log = []
+    row_log, col_log = [], []
 
     def swap_rows(i1, i2):
         S[i1], S[i2] = S[i2], S[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-        log.extend((_SWAP_ROWS, i1, i2, 0))
+        row_log.append((_SWAP, i1, i2, 0))
 
     def swap_cols(j1, j2):
         for row in S:
             row[j1], row[j2] = row[j2], row[j1]
-        for row in V:
-            row[j1], row[j2] = row[j2], row[j1]
-        log.extend((_SWAP_COLS, j1, j2, 0))
+        col_log.append((_SWAP, j1, j2, 0))
 
     def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        Ss, Sd = S[src], S[dst]
-        for j in range(n):
-            Sd[j] += q * Ss[j]
-        Us, Ud = U[src], U[dst]
-        for j in range(m):
-            Ud[j] += q * Us[j]
-        log.extend((_ADD_ROW, src, dst, q))
+        S[dst] = [x + q * y for x, y in zip(S[dst], S[src])]
+        row_log.append((_ADD, src, dst, q))
 
     def add_col(src, dst, q):
         for row in S:
             row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-        log.extend((_ADD_COL, src, dst, q))
+        col_log.append((_ADD, src, dst, q))
 
     def near_q(a, b):
         # Nearest-integer quotient keeps remainders at most |b| / 2.
@@ -283,14 +283,12 @@ def snf(M):
             q += 1
         return q
 
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        if _pivot(S, t, t, m, n) is None:
+    for t in range(min(m, n)):
+        best = _pivot(S, t, t, m, n)
+        if best is None:
             break
         while True:
-            # Re-select the smallest pivot each pass to bound entry growth.
-            _, pi, pj = _pivot(S, t, t, m, n)
+            _, pi, pj = best
             if pi != t:
                 swap_rows(t, pi)
             if pj != t:
@@ -306,32 +304,21 @@ def snf(M):
                     add_col(t, j, -near_q(S[t][j], S[t][t]))
                     if S[t][j] != 0:
                         clean = False
-            if not clean:
-                continue
-            # Pivot must divide every remaining entry for the chain to hold.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
+            if clean:
+                # Pivot must divide every remaining entry for the chain to hold.
+                offender = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                                 if S[i][j] % S[t][t] != 0), None)
+                if offender is None:
                     break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
+                add_row(offender, t, 1)
+            # Re-select the smallest pivot each pass to bound entry growth.
+            best = _pivot(S, t, t, m, n)
 
         if S[t][t] < 0:
-            for j in range(n):
-                S[t][j] = -S[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-            log.extend((_NEGATE_ROW, t, t, 0))
-        t += 1
+            S[t] = [-x for x in S[t]]
+            row_log.append((_NEGATE, t, t, 0))
 
-    return SnfResult(IntMatrix.from_rows(S, cols=n),
-                     IntMatrix.from_rows(U, cols=m),
-                     IntMatrix.from_rows(V, cols=n), log)
+    return SnfResult(IntMatrix.from_rows(S, cols=n), row_log, col_log)
 
 
 def kernel_basis(M):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
@@ -70,6 +71,37 @@ def test_snf_matches_sympy_invariant_factors():
         want = [abs(int(f)) for f in
                 invariant_factors(Matrix(M.to_rows()), domain=ZZ) if f]
         assert check_snf(M).invariant_factors() == want
+
+
+CERTIFICATES = ("U", "V", "U_inv", "V_inv")
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return IntMatrix(rows, cols, draw(st.lists(
+        st.integers(-50, 50), min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(), st.permutations(CERTIFICATES))
+def test_replayed_certificates(M, order):
+    res = check_snf(M)
+    want = [abs(int(f)) for f in
+            invariant_factors(Matrix(M.to_rows()), domain=ZZ) if f] \
+        if M.rows and M.cols else []
+    assert res.invariant_factors() == want
+    # Each certificate is replayed on its own first read, in any order.
+    again = snf(M)
+    for name in order:
+        assert getattr(again, name) == getattr(res, name), name
+
+
+def test_snf_certificates_dense_40():
+    M = random_matrix(random.Random(40), 40, 40, 9)
+    res = snf(M)
+    assert res.U * M * res.V == res.S
+    assert res.U * res.U_inv == IntMatrix.identity(40)
 
 
 def test_snf_result_solve_many_right_hand_sides():

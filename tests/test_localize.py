@@ -1,13 +1,17 @@
+import random
+
 import pytest
-from sympy import nextprime
+from hypothesis import given, settings, strategies as st
+from sympy import factorint, nextprime
 
 from locweinstein.localize import (CategoryClass, CompositeModulusError,
                                    PrimeSet, category_nontrivial_over,
                                    classify_disks, field_homology, is_prime,
                                    localized_homology, quasi_iso)
 from locweinstein.decompose import elementary_decomposition, reassemble
-from locweinstein.zcomplex import (FreeComplex, direct_sum,
-                                   elementary_complex, homology, shift)
+from locweinstein.zcomplex import (FreeComplex, cone, direct_sum,
+                                   elementary_complex, homology, scalar_map,
+                                   shift)
 from conftest import random_complex
 
 
@@ -85,6 +89,46 @@ def test_universal_coefficients(rng):
                 {k - 1 for k in prof.support()}
             for k in degrees:
                 assert fq.get(k, 0) == universal_coefficients_rank(prof, k, q)
+
+
+def primary_parts(profile):
+    """Per degree: free rank and the sorted prime-power elementary divisors,
+    so that direct sums of profiles are plain concatenations."""
+    return {k: (profile.free_rank(k),
+                sorted(p ** e for t in profile.torsion(k)
+                       for p, e in factorint(t).items()))
+            for k in profile.support()}
+
+
+seeds = st.integers(0, 2 ** 32)
+prime_sets = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=3).map(PrimeSet)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeds, seeds, st.integers(-3, 3), prime_sets)
+def test_localization_commutes_with_shift_and_sum(seed_c, seed_d, k, P):
+    C = random_complex(random.Random(seed_c), max_rank=3)
+    D = random_complex(random.Random(seed_d), max_rank=3)
+    local_c = localized_homology(C, P)
+    assert localized_homology(shift(C, k), P).data == \
+        {j - k: h for j, h in local_c.data.items()}
+    # C + C puts torsion of both summands in the same degrees.
+    for other in (D, C):
+        summed = primary_parts(local_c)
+        for j, (free, parts) in primary_parts(localized_homology(other, P)).items():
+            have_free, have_parts = summed.get(j, (0, []))
+            summed[j] = (have_free + free, sorted(have_parts + parts))
+        assert primary_parts(localized_homology(direct_sum(C, other), P)) == summed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeds, st.integers(1, 60), st.booleans(), prime_sets)
+def test_scalar_cone_is_trivial_once_its_primes_are_inverted(seed, m, negate, P):
+    # Multiplication by m is invertible away from the primes of m.
+    C = random_complex(random.Random(seed), max_rank=3)
+    P = PrimeSet(list(P) + list(factorint(m)))
+    cx = cone(scalar_map(C, -m if negate else m))
+    assert localized_homology(cx, P).is_trivial()
 
 
 def test_quasi_iso_moore_vs_elementary():
